@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/byzantine.hpp"
+#include "core/coalescer.hpp"
 #include "core/node.hpp"
 
 namespace svss::adversary {
@@ -253,28 +254,26 @@ class AdaptiveShunAware final : public IStrategy {
     if (!seen_.insert(p.bid).second) return;
     auto msg = Message::deserialize(p.rb_payload());
     if (!msg) return;
-    const std::vector<int>& ints = msg->ints;
+    auto names_self = [this](const std::vector<int>& members) {
+      return std::find(members.begin(), members.end(), env_.self) !=
+             members.end();
+    };
     bool included = false;
     if (per_session) {
       // ints is the member list itself.
-      included = std::find(ints.begin(), ints.end(), env_.self) != ints.end();
+      included = names_self(msg->ints);
     } else {
-      // Batched framing: ints is (j, len, members...) runs, one published
-      // per-session set each (mwsvss/group_transport.cpp).  The runs of
-      // one envelope are flushed together and share one schedule, so they
-      // are one observation, not len(runs) independent ones: count the
-      // envelope as including us iff *any* of its sets does.
-      std::size_t i = 0;
-      while (i + 2 <= ints.size()) {
-        int len = ints[i + 1];
-        if (len < 0 || i + 2 + static_cast<std::size_t>(len) > ints.size()) {
-          return;  // malformed envelope; not our bug to diagnose
-        }
-        auto first = ints.begin() + static_cast<std::ptrdiff_t>(i + 2);
-        if (std::find(first, first + len, env_.self) != first + len) {
-          included = true;
-        }
-        i += 2 + static_cast<std::size_t>(len);
+      // One published set per envelope entry, read through the
+      // coalescer's layout view.  The entries of one envelope are flushed
+      // together and share one schedule, so they are one observation, not
+      // one per set: count the envelope as including us iff *any* of its
+      // sets does.
+      std::vector<Coalescer::Entry> sets;
+      if (!Coalescer::parse(*msg, env_.n, env_.t, sets)) {
+        return;  // malformed envelope; not our bug to diagnose
+      }
+      for (const Coalescer::Entry& e : sets) {
+        if (names_self(e.sub.ints)) included = true;
       }
     }
     int& streak = excluded_streak_[static_cast<std::size_t>(p.bid.origin)];

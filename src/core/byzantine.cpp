@@ -3,7 +3,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
-#include "mwsvss/group_transport.hpp"
+#include "core/coalescer.hpp"
 #include "sim/message.hpp"
 
 namespace svss {
@@ -42,7 +42,6 @@ void mutate_outbound_message(Packet& p, int self,
 
 Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
                                                int t, std::uint64_t seed) {
-  (void)t;
   switch (cfg.kind) {
     case ByzKind::kHonest:
       return nullptr;
@@ -90,33 +89,36 @@ Engine::Interceptor make_byzantine_interceptor(const ByzConfig& cfg, int n,
       };
 
     case ByzKind::kLyingModerator:
-      return [](int from, int to, Packet& p) {
+      return [n, t](int from, int to, Packet& p) {
         (void)to;
         mutate_packet(
             p, from,
-            [](Message& m) {
+            [n, t](Message& m) {
               if (m.type == MsgType::kMwMonitorVal) perturb_vals(m, Fp(1));
-              // Same lie on the coalesced framing: perturb exactly the
-              // monitor values inside a direct envelope (the transport
-              // owns the layout walk).
-              MwGroupTransport::for_each_direct_entry(
-                  m, [&m](MsgType sub, int, std::size_t val_offset, int) {
-                    if (sub == MsgType::kMwMonitorVal &&
-                        val_offset < m.vals.size()) {
-                      m.vals[val_offset] += Fp(1);
-                    }
-                  });
               if (m.type == MsgType::kMwMset && !m.ints.empty()) {
                 // Rotate the accepted-monitor set by one: a plausible but
                 // wrong commitment.
                 m.ints[0] = (m.ints[0] + 1) % 2;
               }
-              if (m.type == MsgType::kMwBatchMset) {
-                // The first member of the first coalesced run — the same
-                // rotated commitment.
-                if (int* member = MwGroupTransport::first_run_member(m)) {
-                  *member = (*member + 1) % 2;
+              if (m.type != MsgType::kMwBatchDirect &&
+                  m.type != MsgType::kMwBatchMset) {
+                return;
+              }
+              // The same lies on the coalesced framing, located through
+              // the coalescer's layout view: every monitor value inside a
+              // direct envelope, and the first member of the first M-set.
+              std::vector<Coalescer::Entry> entries;
+              Coalescer::parse(m, n, t, entries);
+              for (const Coalescer::Entry& e : entries) {
+                if (e.sub.type == MsgType::kMwMonitorVal &&
+                    e.vals_at < m.vals.size()) {
+                  m.vals[e.vals_at] += Fp(1);
                 }
+              }
+              if (m.type == MsgType::kMwBatchMset && !entries.empty() &&
+                  !entries[0].sub.ints.empty()) {
+                int& member = m.ints[entries[0].ints_at];
+                member = (member + 1) % 2;
               }
             },
             /*mutate_relays=*/false);

@@ -16,74 +16,27 @@ Node::Node(int self, int n, int t, bool batched_coin, bool batched_mw,
           [this](Context& ctx, int from, const Message& m, bool via_rb) {
             route_app(ctx, from, m, via_rb);
           },
-      }) {
-  if (batched_coin) {
-    batch_ = std::make_unique<BatchedSvssTransport>(self, n, t);
-  }
-  if (batched_mw) {
-    mw_batch_ = std::make_unique<MwGroupTransport>(self, n, t);
-  }
-  if (batched_votes) {
-    vote_batch_ = std::make_unique<AbaVoteBatcher>(self, n);
-  }
-}
+      }),
+      coalescer_(self, n, t, rbc_,
+                 Coalescer::Layers{batched_coin, batched_mw, batched_votes}) {}
 
-// The MW capture window brackets whole delivery cascades: everything a
-// delivery (or the start action) makes the sessions emit is coalesced and
-// flushed before control returns to the engine, so batching is pure
-// framing — no message ever survives a cascade uncaptured or unsent.
-bool Node::open_mw_window() {
-  if (!mw_batch_ || mw_batch_->window_open()) return false;
-  mw_batch_->open_window();
-  return true;
-}
-
-void Node::close_mw_window(Context& ctx) {
-  if (mw_batch_->close_window_if_empty()) return;
-  mw_batch_->close_window(
-      ctx, MwGroupTransport::EmitFns{
-               [this](Context& c, const Message& m) { rbc_.broadcast(c, m); },
-               [](Context& c, int to, Message m) {
-                 c.send(to, make_direct(std::move(m)));
-               },
-           });
-}
-
-bool Node::open_vote_window() {
-  if (!vote_batch_ || vote_batch_->window_open()) return false;
-  vote_batch_->open_window();
-  return true;
-}
-
-void Node::close_vote_window(Context& ctx) {
-  if (vote_batch_->close_window_if_empty()) return;
-  vote_batch_->close_window(
-      ctx, AbaVoteBatcher::EmitFns{
-               [this](Context& c, const Message& m) { rbc_.broadcast(c, m); },
-               [](Context& c, int to, Message m) {
-                 c.send(to, make_direct(std::move(m)));
-               },
-           });
-}
-
+// The coalescer's window brackets whole delivery cascades: everything a
+// delivery (or the start action) makes the sessions emit is flushed before
+// control returns to the engine.
 void Node::start(Context& ctx) {
-  const bool windowed = open_mw_window();
-  const bool vote_windowed = open_vote_window();
+  const bool windowed = coalescer_.open();
   if (start_action_) start_action_(ctx, *this);
-  if (vote_windowed) close_vote_window(ctx);
-  if (windowed) close_mw_window(ctx);
+  if (windowed) coalescer_.close(ctx);
 }
 
 void Node::on_packet(Context& ctx, int from, const Packet& p) {
-  const bool windowed = open_mw_window();
-  const bool vote_windowed = open_vote_window();
+  const bool windowed = coalescer_.open();
   if (p.is_rb) {
     rbc_.on_transport(ctx, from, p);
   } else {
     route_app(ctx, from, p.app, /*via_rb=*/false);
   }
-  if (vote_windowed) close_vote_window(ctx);
-  if (windowed) close_mw_window(ctx);
+  if (windowed) coalescer_.close(ctx);
 }
 
 bool Node::sane_sid(const SessionId& sid) const {
@@ -116,43 +69,59 @@ bool Node::sane_sid(const SessionId& sid) const {
 void Node::route_app(Context& ctx, int sender, const Message& m,
                      bool via_rb) {
   if (!sane_sid(m.sid)) return;
+  if (!Coalescer::is_envelope(m.type)) {
+    route_session(ctx, sender, m, via_rb);
+    return;
+  }
+  // Split into the per-session messages and route each like a per-session
+  // arrival (DMM filter and recon rules included); their sids derive from
+  // the vetted envelope sid.  A malformed envelope is dropped whole.  The
+  // entry buffer is reused across envelopes (taken, so a nested unpack
+  // would get its own).
+  std::vector<Coalescer::Entry> entries = std::move(unpack_buf_);
+  if (Coalescer::unpack(m, via_rb, n_, t_, entries)) {
+    for (const Coalescer::Entry& e : entries) {
+      route_session(ctx, sender, e.sub, via_rb);
+    }
+  }
+  unpack_buf_ = std::move(entries);
+}
+
+void Node::route_session(Context& ctx, int sender, const Message& m,
+                         bool via_rb) {
   switch (m.sid.path) {
     case SessionPath::kMwTop:
     case SessionPath::kMwInSvssTop:
     case SessionPath::kMwInSvssCoin: {
-      if (MwGroupTransport::is_batch_type(m.type)) {
-        // Group envelope: split into the per-session messages and run each
-        // through the normal per-session path (DMM filter and recon rules
-        // included).  Understood unconditionally, so batched and unbatched
-        // peers interoperate.
-        MwGroupTransport::unpack(
-            ctx, n_, t_, sender, m, via_rb,
-            [this](Context& c, int s, const Message& sub, bool rb) {
-              deliver_mw(c, s, sub, rb);
-            });
-        return;
-      }
       // Envelope sid space carrying a non-envelope type: no session lives
       // at variants 2-3.
       if (m.sid.variant > 1) return;
-      deliver_mw(ctx, sender, m, via_rb);
+      if (!dmm_.filter(ctx, sender, m, via_rb)) return;
+      if (via_rb && m.type == MsgType::kMwReconVal && m.vals.size() == 1 &&
+          m.a >= 0 && m.a < n_) {
+        // DMM rules 2-3: resolve or violate reconstruction expectations
+        // before the session acts on the value.
+        if (!dmm_.on_recon_value(ctx, sender, m.sid, m.a, m.vals[0])) return;
+      }
+      MwSvssSession& s = mw(ctx, m.sid);
+      if (via_rb) {
+        s.on_broadcast(ctx, sender, m);
+      } else {
+        s.on_direct(ctx, sender, m);
+      }
       return;
     }
     case SessionPath::kSvssTop:
     case SessionPath::kSvssCoin: {
-      if (BatchedSvssTransport::is_batch_type(m.type)) {
-        // Shared-transport envelope: split into the per-session messages
-        // and run each through the normal per-session path (DMM filter
-        // included).  Understood unconditionally, so batched and
-        // unbatched peers interoperate.
-        BatchedSvssTransport::unpack(
-            ctx, n_, t_, sender, m, via_rb,
-            [this](Context& c, int s, const Message& sub, bool rb) {
-              deliver_svss(c, s, sub, rb);
-            });
-        return;
+      // The VSS layers pass the DMM filter first (session-ordered discard,
+      // delay).
+      if (!dmm_.filter(ctx, sender, m, via_rb)) return;
+      SvssSession& s = svss(ctx, m.sid);
+      if (via_rb) {
+        s.on_broadcast(ctx, sender, m);
+      } else {
+        s.on_direct(ctx, sender, m);
       }
-      deliver_svss(ctx, sender, m, via_rb);
       return;
     }
     case SessionPath::kCoin:
@@ -161,23 +130,6 @@ void Node::route_app(Context& ctx, int sender, const Message& m,
       }
       return;
     case SessionPath::kAba: {
-      if (AbaVoteBatcher::is_batch_type(m.type)) {
-        // Cross-instance vote envelope: split into the per-session votes
-        // and run each through the normal per-instance path (AbaSession
-        // re-applies the full vote validation).  Understood
-        // unconditionally, so batched and unbatched peers interoperate.
-        AbaVoteBatcher::unpack(
-            ctx, sender, m, via_rb,
-            [this](Context& c, int s, const Message& sub, bool rb) {
-              AbaSession& session = aba_instance(sub.sid.instance);
-              if (rb) {
-                session.on_broadcast(c, s, sub);
-              } else {
-                session.on_direct(c, s, sub);
-              }
-            });
-        return;
-      }
       // Variant 4 is the vote-envelope sid space; no session lives there.
       if (m.sid.variant >= 4) return;
       // variant 0 = the SVSS-coin agreement protocol; variant 1 = the
@@ -216,34 +168,6 @@ void Node::route_app(Context& ctx, int sender, const Message& m,
     }
     case SessionPath::kTest:
       return;
-  }
-}
-
-void Node::deliver_mw(Context& ctx, int sender, const Message& m,
-                      bool via_rb) {
-  if (!dmm_.filter(ctx, sender, m, via_rb)) return;
-  if (via_rb && m.type == MsgType::kMwReconVal && m.vals.size() == 1 &&
-      m.a >= 0 && m.a < n_) {
-    // DMM rules 2-3: resolve or violate reconstruction expectations
-    // before the session acts on the value.
-    if (!dmm_.on_recon_value(ctx, sender, m.sid, m.a, m.vals[0])) return;
-  }
-  MwSvssSession& s = mw(ctx, m.sid);
-  if (via_rb) {
-    s.on_broadcast(ctx, sender, m);
-  } else {
-    s.on_direct(ctx, sender, m);
-  }
-}
-
-void Node::deliver_svss(Context& ctx, int sender, const Message& m,
-                        bool via_rb) {
-  if (!dmm_.filter(ctx, sender, m, via_rb)) return;
-  SvssSession& s = svss(ctx, m.sid);
-  if (via_rb) {
-    s.on_broadcast(ctx, sender, m);
-  } else {
-    s.on_direct(ctx, sender, m);
   }
 }
 
@@ -296,14 +220,12 @@ void Node::start_aba(Context& ctx, int input, CoinMode mode,
                      std::uint64_t common_seed, std::uint32_t instance) {
   aba_mode_ = mode;
   aba_seed_ = common_seed;
-  // Bracket with the capture windows so out-of-cascade submissions (a
-  // daemon's submit() between polls) still get batched framing; inside a
-  // delivery cascade the windows are already open and these are no-ops.
-  const bool windowed = open_mw_window();
-  const bool vote_windowed = open_vote_window();
+  // Bracket with the window so out-of-cascade submissions (a daemon's
+  // submit() between polls) still get coalesced framing; inside a delivery
+  // cascade the window is already open and this is a no-op.
+  const bool windowed = coalescer_.open();
   aba_instance(instance).start(ctx, input);
-  if (vote_windowed) close_vote_window(ctx);
-  if (windowed) close_mw_window(ctx);
+  if (windowed) coalescer_.close(ctx);
 }
 
 AbaSession& Node::aba_instance(std::uint32_t instance) {
@@ -438,51 +360,12 @@ const CoinSession* Node::find_coin(std::uint32_t instance,
 // Host plumbing
 // ---------------------------------------------------------------------
 void Node::rb_broadcast(Context& ctx, const Message& m) {
-  if (vote_batch_ && vote_batch_->window_open() &&
-      vote_batch_->capture_broadcast(m)) {
-    // Coalesced into the cascade's kAbaBatchConf envelope; flushed when
-    // the vote window closes.
-    return;
-  }
-  if (mw_batch_ && mw_batch_->window_open() &&
-      mw_batch_->capture_broadcast(m)) {
-    // Coalesced into the group's kMwBatch* envelope; flushed when the
-    // current delivery cascade's window closes.
-    return;
-  }
-  if (batch_ && m.type == MsgType::kSvssGset &&
-      m.sid.path == SessionPath::kSvssCoin && m.sid.owner == self_) {
-    // Batch the n sibling sessions' G-sets into one RBC instance: the
-    // shared echo/ready rounds replace n per-session ones.  The combined
-    // broadcast goes out when the last sibling produced its set.
-    if (auto batched = batch_->capture_gset(m)) {
-      rbc_.broadcast(ctx, *batched);
-    }
-    return;
-  }
-  rbc_.broadcast(ctx, m);
+  if (!coalescer_.capture_broadcast(ctx, m)) rbc_.broadcast(ctx, m);
 }
 
 void Node::send_direct(Context& ctx, int to, Message m) {
-  if (vote_batch_ && vote_batch_->window_open() &&
-      vote_batch_->capture_direct(to, m)) {
-    return;
-  }
-  if (mw_batch_ && mw_batch_->window_open() &&
-      mw_batch_->capture_direct(to, m)) {
-    return;
-  }
-  if (batch_ && batch_->capture_dealer_shares(to, m)) return;
-  ctx.send(to, make_direct(std::move(m)));
-}
-
-void Node::svss_batch_window(Context& ctx, std::uint32_t instance,
-                             std::uint32_t round, bool open) {
-  if (!batch_) return;
-  if (open) {
-    batch_->open_window(instance, round);
-  } else {
-    batch_->close_window(ctx);
+  if (!coalescer_.capture_direct(ctx, to, m)) {
+    ctx.send(to, make_direct(std::move(m)));
   }
 }
 

@@ -25,14 +25,12 @@
 
 #include "aba/aba.hpp"
 #include "aba/local_coin_aba.hpp"
-#include "aba/vote_batch.hpp"
 #include "aba/multivalued.hpp"
 #include "acs/acs.hpp"
 #include "asmpc/secure_sum.hpp"
-#include "coin/batched_transport.hpp"
 #include "coin/coin.hpp"
+#include "core/coalescer.hpp"
 #include "dmm/dmm.hpp"
-#include "mwsvss/group_transport.hpp"
 #include "mwsvss/mwsvss.hpp"
 #include "rbc/rbc.hpp"
 #include "sim/engine.hpp"
@@ -66,14 +64,12 @@ class Node : public IProcess,
              public SecureSumHost,
              public MvbaHost {
  public:
-  // `batched_coin` multiplexes the n coin-owned SVSS sessions per round
-  // over the shared transport envelopes (src/coin/batched_transport.hpp);
-  // `batched_mw` coalesces the coin-nested MW-SVSS child traffic under
-  // group envelopes (src/mwsvss/group_transport.hpp); `batched_votes`
-  // coalesces agreement votes across concurrent instances and rounds
-  // (src/aba/vote_batch.hpp).  Inbound envelopes are always understood,
-  // so batched and unbatched nodes interoperate; the flags only select
-  // this node's *own* outbound framing.
+  // The flags select which layers' outbound traffic this node coalesces
+  // into envelopes (core/coalescer.hpp): `batched_coin` the n coin-owned
+  // SVSS sessions per round, `batched_mw` the coin-nested MW-SVSS
+  // children, `batched_votes` agreement votes across instances and rounds.
+  // Inbound envelopes are always understood, so batched and unbatched
+  // nodes interoperate.
   Node(int self, int n, int t, bool batched_coin = true,
        bool batched_mw = true, bool batched_votes = true);
 
@@ -147,8 +143,6 @@ class Node : public IProcess,
   SvssSession& svss_child(Context& ctx, const SessionId& sid) override;
   void coin_output(Context& ctx, std::uint32_t instance, std::uint32_t round,
                    int bit) override;
-  void svss_batch_window(Context& ctx, std::uint32_t instance,
-                         std::uint32_t round, bool open) override;
   void start_coin(Context& ctx, std::uint32_t instance,
                   std::uint32_t round) override;
   void aba_decided(Context& ctx, int value, std::uint32_t round,
@@ -163,22 +157,11 @@ class Node : public IProcess,
 
  private:
   void route_app(Context& ctx, int sender, const Message& m, bool via_rb);
-  // DMM-filtered per-session delivery for the SVSS layers (both the direct
-  // path and the sub-messages of unpacked batch envelopes).
-  void deliver_svss(Context& ctx, int sender, const Message& m, bool via_rb);
-  // Same for the MW layer: DMM filter, recon-expectation rules 2-3, then
-  // the per-session state machine.  Sub-messages of unpacked kMwBatch*
-  // envelopes take exactly this path, so batching never skips a rule.
-  void deliver_mw(Context& ctx, int sender, const Message& m, bool via_rb);
-  // Bracket one delivery cascade with the MW group-capture window (plain
-  // open/close calls, not a callable wrapper — this is the per-delivery
-  // hot path).  open returns true iff this call opened the window, i.e.
-  // the caller owns the matching close.
-  bool open_mw_window();
-  void close_mw_window(Context& ctx);
-  // Same bracketing for the cross-instance agreement-vote batcher.
-  bool open_vote_window();
-  void close_vote_window(Context& ctx);
+  // route_app's per-session half, also taken by every entry of an unpacked
+  // envelope: by session path to the owning session, through the DMM
+  // filter and recon rules for the VSS layers.
+  void route_session(Context& ctx, int sender, const Message& m,
+                     bool via_rb);
   AbaSession& aba_instance(std::uint32_t instance);
   [[nodiscard]] bool sane_sid(const SessionId& sid) const;
 
@@ -187,12 +170,10 @@ class Node : public IProcess,
   int t_;
   Rbc rbc_;
   Dmm dmm_;
-  // Present iff this node deals its coin rounds batched.
-  std::unique_ptr<BatchedSvssTransport> batch_;
-  // Present iff this node coalesces its coin-nested MW child traffic.
-  std::unique_ptr<MwGroupTransport> mw_batch_;
-  // Present iff this node coalesces agreement votes across instances.
-  std::unique_ptr<AbaVoteBatcher> vote_batch_;
+  // Frames outbound per-session traffic into envelopes (after rbc_, which
+  // it broadcasts through).
+  Coalescer coalescer_;
+  std::vector<Coalescer::Entry> unpack_buf_;
   // Flat tables (common/flat_map.hpp): session lookup is the per-delivery
   // routing cost, so these sit on the hot path.  Sessions are never erased.
   FlatMap<SessionId, std::unique_ptr<MwSvssSession>, SessionIdHash> mw_;

@@ -332,7 +332,10 @@ void SocketTransport::flush_out(int peer) {
   OutPeer& o = out_[static_cast<std::size_t>(peer)];
   if (o.fd < 0 || o.connecting) return;
   while (o.pos < o.buf.size()) {
-    ssize_t wrote = ::write(o.fd, o.buf.data() + o.pos, o.buf.size() - o.pos);
+    // MSG_NOSIGNAL: a peer that closed first yields EPIPE here (and a
+    // re-dial), not a process-killing SIGPIPE.
+    ssize_t wrote = ::send(o.fd, o.buf.data() + o.pos, o.buf.size() - o.pos,
+                           MSG_NOSIGNAL);
     if (wrote > 0) {
       o.pos += static_cast<std::size_t>(wrote);
       advance_frame_base(o);

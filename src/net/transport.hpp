@@ -72,12 +72,12 @@ enum class TransportKind : std::uint8_t {
                     // one thread per endpoint (non-deterministic schedule)
 };
 
-// Named wire framings for the two batching layers.  kBatched is the
-// measured default (PR 4/5); kPerSession is the unbatched reference
+// Named wire framings for the coalesced layers (core/coalescer.hpp).
+// kBatched is the measured default; kPerSession is the unbatched reference
 // framing the equivalence harness compares against.
 enum class Framing : std::uint8_t {
   kPerSession,  // one message / RBC instance per protocol session
-  kBatched,     // shared envelopes (coin dealing batch, MW group coalesce)
+  kBatched,     // shared envelopes
 };
 
 // The transport surface of a run, collapsed into one struct.  Framings are
@@ -88,7 +88,7 @@ struct TransportOptions {
   TransportKind kind = TransportKind::kSim;
   Framing coin_dealing = Framing::kBatched;
   Framing mw_children = Framing::kBatched;
-  // Cross-instance agreement-vote coalescing (src/aba/vote_batch.hpp).
+  // Cross-instance agreement-vote coalescing.
   Framing aba_votes = Framing::kBatched;
   // Per-slot override of mw_children (mixed-fleet experiments).
   std::map<int, Framing> mw_children_override;

@@ -83,7 +83,7 @@ enum class MsgType : std::uint8_t {
   kMwMset = 8,          // moderator: the accepted monitor set M   (RB)
   kMwOk = 9,            // dealer: OK                              (RB)
   kMwReconVal = 10,     // j: (l, f_l(j)) in reconstruct           (RB)
-  // --- group-coalesced MW transport (src/mwsvss/group_transport) ---
+  // --- coalesced MW children (core/coalescer.hpp) ---
   // One envelope coalesces the same-type messages a sender emits, within
   // one delivery cascade, for the n sibling MW children (attachees) of one
   // (round, dealer, owner, moderator, variant) coin group.  Direct
@@ -99,7 +99,7 @@ enum class MsgType : std::uint8_t {
   // --- SVSS (Section 4) ---
   kSvssDealerShares = 20,  // dealer -> j: g_j, h_j points         (direct)
   kSvssGset = 21,          // dealer: G and {G_j}                  (RB)
-  // --- batched coin-round SVSS transport (src/coin/batched_transport) ---
+  // --- coalesced coin dealing (core/coalescer.hpp) ---
   kSvssBatchShares = 22,   // dealer -> j: all n sessions' g/h pts (direct)
   kSvssBatchGset = 23,     // dealer: all n sessions' G-set blobs  (RB)
   // --- Common coin (Section 5) ---
@@ -107,7 +107,7 @@ enum class MsgType : std::uint8_t {
   kCoinStartRecon = 31, // i: entering reconstruction, support set (RB)
   // --- Byzantine agreement ---
   kAbaVote = 40,        // (round, phase, value)                   (RB)
-  // --- cross-instance vote transport (src/aba/vote_batch) ---
+  // --- coalesced agreement votes (core/coalescer.hpp) ---
   // One envelope coalesces every ABA vote a sender emits within one
   // delivery cascade, across all concurrent instances and rounds: at scale
   // nearly 100% of ideal-coin agreement bytes are aba-vote, so this is the

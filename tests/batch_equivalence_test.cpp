@@ -1,9 +1,8 @@
 // Differential equivalence across wire framings (tests/equivalence_common).
 //
-// Two batched transports change the protocol's framing without touching
-// its content: the coin-dealing batcher (src/coin/batched_transport, PR 4)
-// and the MW child-traffic coalescer (src/mwsvss/group_transport).  The
-// harness in equivalence_common.hpp states what "without touching content"
+// The coalescer (core/coalescer.hpp) changes the protocol's framing
+// without touching its content, for coin dealing and for the MW children.
+// The harness in equivalence_common.hpp states what "without touching content"
 // means — identical reconstructed values for honest dealers, matching
 // clean verdicts, sound shunning, deterministic replay — over the full
 // seeds x adversary-strategies x SchedulerKinds grid.  This file
@@ -22,29 +21,29 @@ using equivalence::VariantPair;
 
 Variant unbatched() {
   return Variant{"unbatched", [](RunnerConfig& cfg) {
-                   cfg.batched_coin_dealing = false;
-                   cfg.batched_mw_children = false;
+                   cfg.transport.coin_dealing = Framing::kPerSession;
+                   cfg.transport.mw_children = Framing::kPerSession;
                  }};
 }
 
 Variant mw_only() {
   return Variant{"mw-batched", [](RunnerConfig& cfg) {
-                   cfg.batched_coin_dealing = false;
-                   cfg.batched_mw_children = true;
+                   cfg.transport.coin_dealing = Framing::kPerSession;
+                   cfg.transport.mw_children = Framing::kBatched;
                  }};
 }
 
 Variant coin_only() {
   return Variant{"coin-batched", [](RunnerConfig& cfg) {
-                   cfg.batched_coin_dealing = true;
-                   cfg.batched_mw_children = false;
+                   cfg.transport.coin_dealing = Framing::kBatched;
+                   cfg.transport.mw_children = Framing::kPerSession;
                  }};
 }
 
 Variant combined() {
   return Variant{"combined", [](RunnerConfig& cfg) {
-                   cfg.batched_coin_dealing = true;
-                   cfg.batched_mw_children = true;
+                   cfg.transport.coin_dealing = Framing::kBatched;
+                   cfg.transport.mw_children = Framing::kBatched;
                  }};
 }
 

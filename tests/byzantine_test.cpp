@@ -126,6 +126,64 @@ TEST(Byzantine, LyingModeratorCorruptsMonitorValsAndMset) {
   EXPECT_NE(out->ints, (std::vector<int>{0, 2, 3}));
 }
 
+// The same lies on coalesced framing, located through the coalescer's
+// layout view: every monitor value of a direct envelope (other entries
+// untouched), every value of a recon envelope, and only the first member
+// of the first M-set run.
+TEST(Byzantine, LiesReachCoalescedEnvelopes) {
+  SessionId group;
+  group.path = SessionPath::kMwInSvssCoin;
+  group.variant = 2;
+  group.owner = 0;
+  group.moderator = 1;
+  group.svss_dealer = 2;
+  group.counter = 3 * kMaxN;
+  const int echo = static_cast<int>(MsgType::kMwEchoVal);
+  const int monitor = static_cast<int>(MsgType::kMwMonitorVal);
+  auto liar = make_byzantine_interceptor(
+      ByzConfig{ByzKind::kLyingModerator}, 4, 1, 1);
+
+  Message direct;
+  direct.sid = group;
+  direct.type = MsgType::kMwBatchDirect;
+  direct.ints = {echo, 0, 1, monitor, 1, 1, monitor, 2, 1};
+  direct.vals = {Fp(5), Fp(7), Fp(9)};
+  Packet dp = make_direct(direct);
+  ASSERT_TRUE(liar(1, 0, dp));
+  EXPECT_EQ(dp.app.vals, (FieldVec{Fp(5), Fp(8), Fp(10)}));
+
+  Message mset;
+  mset.sid = group;
+  mset.type = MsgType::kMwBatchMset;
+  mset.a = 0;
+  mset.ints = {0, 2, 1, 3, 1, 1, 2};
+  BcastId bid;
+  bid.origin = 1;
+  bid.sid = mset.sid;
+  bid.slot = mset.type;
+  bid.a = mset.a;
+  Packet mp = make_rb(bid, RbPhase::kSend, mset.serialize());
+  ASSERT_TRUE(liar(1, 0, mp));
+  auto lied = Message::deserialize(mp.rb_payload());
+  ASSERT_TRUE(lied.has_value());
+  EXPECT_EQ(lied->ints, (std::vector<int>{0, 2, 0, 3, 1, 1, 2}));
+
+  Message recon;
+  recon.sid = group;
+  recon.type = MsgType::kMwBatchReconVal;
+  recon.a = 0;
+  recon.ints = {0, 1, 3, 2};
+  recon.vals = {Fp(1), Fp(2)};
+  bid.slot = recon.type;
+  Packet rp = make_rb(bid, RbPhase::kSend, recon.serialize());
+  auto wrong = make_byzantine_interceptor(ByzConfig{ByzKind::kWrongRecon}, 4,
+                                          1, 1);
+  ASSERT_TRUE(wrong(1, 0, rp));
+  auto perturbed = Message::deserialize(rp.rb_payload());
+  ASSERT_TRUE(perturbed.has_value());
+  EXPECT_EQ(perturbed->vals, (FieldVec{Fp(2), Fp(3)}));
+}
+
 TEST(Byzantine, BitFlipIsSeededAndProbabilistic) {
   ByzConfig cfg{ByzKind::kBitFlip};
   cfg.flip_prob = 1.0;  // always flips

@@ -1,9 +1,8 @@
 // Differential equivalence harness for wire-framing variants.
 //
-// The batched transports (src/coin/batched_transport, the PR-4 coin-dealing
-// batcher, and src/mwsvss/group_transport, the MW child-traffic coalescer)
-// are *framing* changes: sessions run unmodified per-session code in the
-// same order, so RNG consumption — and therefore every dealt polynomial
+// The coalesced framings of core/coalescer.hpp (coin dealing, MW child
+// traffic) are *framing* changes: sessions run unmodified per-session code
+// in the same order, so RNG consumption — and therefore every dealt polynomial
 // and secret — is identical per seed across framings.  What a framing may
 // legitimately change is the packet schedule (fewer, fatter packets), and
 // with it which G-sets freeze first and hence a coin's output bit; what it
@@ -46,7 +45,8 @@
 namespace svss::equivalence {
 
 // A named framing variant: a mutation applied on top of the cell's base
-// config (toggling batched_coin_dealing / batched_mw_children / overrides).
+// config (setting cfg.transport's coin_dealing / mw_children framings or
+// the per-slot mw_children_override).
 struct Variant {
   const char* name;
   std::function<void(RunnerConfig&)> apply;

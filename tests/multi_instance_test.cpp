@@ -1,6 +1,6 @@
 // Multi-instance agreement: k concurrent instances multiplexed over one
 // node/transport stack (SessionId::instance + cross-instance vote
-// batching, src/aba/vote_batch.hpp).
+// coalescing, core/coalescer.hpp).
 //
 // Three properties pinned here:
 //

@@ -162,6 +162,34 @@ TEST(SocketReconnect, ResendsFromFrameBoundaryAfterMidFrameDrop) {
   EXPECT_EQ(p2->app, trailer.app);
 }
 
+// A peer that closes first must cost the transport its connection, not its
+// process.  The listener accepts the dial, drains the HELLO and closes; the
+// transport then queues one frame larger than the socket buffer and flushes
+// it, so the flush loop writes again after the peer's FIN/RST.  A plain
+// write() there raises SIGPIPE, whose default action kills the process
+// (exit 141) and with it this whole test binary.
+TEST(SocketReconnect, PeerCloseDuringFlushDoesNotRaiseSigpipe) {
+  RawListener peer;
+  ASSERT_TRUE(peer.open());
+
+  ClusterConfig cfg;
+  cfg.peers = {Endpoint{"127.0.0.1", 0}, Endpoint{"127.0.0.1", peer.port}};
+  SocketTransport t(0, cfg);
+  ASSERT_TRUE(t.open());
+
+  int c = peer.accept_with(t, 5000);
+  ASSERT_GE(c, 0);
+  for (int i = 0; i < 20; ++i) t.poll(2);  // finish the dial, send HELLO
+  std::uint8_t sink[4096];
+  while (::read(c, sink, sizeof(sink)) > 0) {
+  }
+  ::close(c);
+
+  t.send(1, test_packet(1, 4u << 20));
+  t.poll(0);
+  SUCCEED() << "process survived a write to a closed peer";
+}
+
 }  // namespace
 
 // Reserves a loopback port nobody listens on: connects to it are refused,
